@@ -54,6 +54,9 @@ class BloomFilter {
     for (std::size_t i = 0; i < kWords; ++i) words_[i] |= other.words_[i];
   }
 
+  /// Raw 64-bit word `i` (for publishing a copy into shared atomic storage).
+  std::uint64_t word(std::size_t i) const noexcept { return words_[i]; }
+
  private:
   void set_bit(std::uint64_t h) noexcept {
     const std::uint64_t bit = h % Bits;

@@ -31,9 +31,9 @@ struct TxTally {
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_spins = 0;
 
-  // Traversal-hint outcomes: exactly one tick per boosted operation that
-  // performed a physical traversal while hints are enabled (write-set
-  // short-circuits never traverse and tick nothing).
+  // Traversal-hint outcomes: exactly one tick per boosted operation (or
+  // list snapshot walk) that performed a physical traversal while hints are
+  // enabled (write-set short-circuits never traverse and tick nothing).
   std::uint64_t hint_hit_local = 0;   // seeded from the descriptor's own positions
   std::uint64_t hint_hit_cached = 0;  // seeded from the per-thread predecessor cache
   std::uint64_t hint_miss = 0;        // no usable hint: traversal started at head

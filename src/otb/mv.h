@@ -35,6 +35,7 @@
 #include "common/platform.h"
 #include "common/small_vec.h"
 #include "metrics/histogram.h"
+#include "metrics/tally.h"
 
 namespace otb::tx {
 
@@ -237,8 +238,15 @@ class SnapshotTx {
     return chain_buckets_;
   }
 
+  /// Traversal hops and hint provenance of this snapshot's walks (only the
+  /// traversal slice is used; flushed by tx::snapshot_read).
+  metrics::TxTally& tally() noexcept { return tally_; }
+
  private:
-  static constexpr int kDrawSpins = 128;
+  // Long enough to outlast one batch's publication window (up to batch_max
+  // commits' pushes) at full write rate; 128 gave up under that load and
+  // surfaced as version misses that were draw exhaustion, not chain laps.
+  static constexpr int kDrawSpins = 1024;
 
   struct ClockRef {
     const CommitSeq* seq;
@@ -248,7 +256,20 @@ class SnapshotTx {
   SmallVec<ClockRef, 4> clocks_;
   std::uint64_t chain_total_ = 0;
   std::array<std::uint64_t, metrics::Histogram::kBuckets> chain_buckets_{};
+  metrics::TxTally tally_;
   ebr::Guard guard_;  // pins retired nodes (and their chains) for the walk
 };
+
+/// Successor of `n` as of stamp `t` (one snapshot-walk step, bottom level
+/// for the skip list); misses when the node carries no chain or the ring
+/// overflowed past `t`.
+template <typename Node>
+const Node* mv_next_at(SnapshotTx& snap, const Node* n, std::uint64_t t) {
+  if (n->mv == nullptr) throw SnapshotMiss{};
+  const MvChain::Resolved r = n->mv->resolve_at(t);
+  snap.sample_chain_depth(r.depth);
+  if (!r.found) throw SnapshotMiss{};
+  return static_cast<const Node*>(r.ptr);
+}
 
 }  // namespace otb::tx

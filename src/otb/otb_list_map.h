@@ -199,20 +199,14 @@ class OtbListMap final : public OtbDs {
   // ---- snapshot (multi-version) reads ------------------------------------
 
   /// Lookup as of the snapshot's stamp for this structure — chain walk
-  /// only, no read-set, no locks, no validation.  Throws SnapshotMiss when
-  /// a chain can no longer serve the stamp.
+  /// only, no read-set, no locks, no validation.  The walk may start at a
+  /// cached predecessor proven live at the stamp (hint::snapshot_locate).
+  /// Throws SnapshotMiss when a chain can no longer serve the stamp.
   bool get_at(SnapshotTx& snap, Key key, Value* out) const {
-    const std::uint64_t t = snap.stamp_for(commit_seq());
-    const Node* c = head_;
-    for (;;) {
-      const Node* nx = mv_next_at(snap, c, t);
-      if (nx->key >= key) {
-        if (nx->key != key) return false;
-        *out = nx->value;  // immutable once constructed: safe to read
-        return true;
-      }
-      c = nx;
-    }
+    const Node* c = locate_at(snap, key);
+    if (c->key != key) return false;
+    *out = c->value;  // immutable once constructed: safe to read
+    return true;
   }
 
   bool contains_at(SnapshotTx& snap, Key key) const {
@@ -228,16 +222,8 @@ class OtbListMap final : public OtbDs {
     if (lo > hi) return 0;
     const std::uint64_t t = snap.stamp_for(commit_seq());
     const std::size_t before = out->size();
-    const Node* c = head_;
-    // Find the first node with key >= lo as of t, then emit until > hi.
-    for (;;) {
-      const Node* nx = mv_next_at(snap, c, t);
-      if (nx->key >= lo) {
-        c = nx;
-        break;
-      }
-      c = nx;
-    }
+    // Emit from the first node with key >= lo as of t until > hi.
+    const Node* c = locate_at(snap, lo);
     while (c != tail_ && c->key <= hi) {
       out->emplace_back(c->key, c->value);
       c = mv_next_at(snap, c, t);
@@ -535,14 +521,10 @@ class OtbListMap final : public OtbDs {
     }
   }
 
-  /// Successor of `n` as of stamp `t` (snapshot walk step); misses when the
-  /// node carries no chain or the ring overflowed past `t`.
-  const Node* mv_next_at(SnapshotTx& snap, const Node* n, std::uint64_t t) const {
-    if (n->mv == nullptr) throw SnapshotMiss{};
-    const MvChain::Resolved r = n->mv->resolve_at(t);
-    snap.sample_chain_depth(r.depth);
-    if (!r.found) throw SnapshotMiss{};
-    return static_cast<const Node*>(r.ptr);
+  /// First node with key >= `key` as of the snapshot's stamp.
+  const Node* locate_at(SnapshotTx& snap, Key key) const {
+    const std::uint64_t t = snap.stamp_for(commit_seq());
+    return hint::snapshot_locate(snap, hint_owner_id(), head_, key, t).second;
   }
 
   std::pair<Node*, Node*> locate(Key key) const {

@@ -80,15 +80,12 @@ class OtbListSet final : public OtbDs {
 
   /// Membership as of the snapshot's stamp for this structure.  Walks the
   /// version chains exclusively: no read-set, no locks, no validation.
-  /// Throws SnapshotMiss when a chain can no longer serve the stamp.
+  /// The walk may start at a cached predecessor proven live at the stamp
+  /// (hint::snapshot_locate).  Throws SnapshotMiss when a chain can no
+  /// longer serve the stamp.
   bool contains_at(SnapshotTx& snap, Key key) const {
     const std::uint64_t t = snap.stamp_for(commit_seq());
-    const Node* c = head_;
-    for (;;) {
-      const Node* nx = mv_next_at(snap, c, t);
-      if (nx->key >= key) return nx->key == key;
-      c = nx;
-    }
+    return hint::snapshot_locate(snap, hint_owner_id(), head_, key, t).second->key == key;
   }
 
   bool supports_snapshot_reads() const override { return true; }
@@ -433,16 +430,6 @@ class OtbListSet final : public OtbDs {
         return;
       }
     }
-  }
-
-  /// Successor of `n` as of stamp `t` (snapshot walk step).  Misses when
-  /// the node carries no chain or the ring overflowed past `t`.
-  const Node* mv_next_at(SnapshotTx& snap, const Node* n, std::uint64_t t) const {
-    if (n->mv == nullptr) throw SnapshotMiss{};
-    const MvChain::Resolved r = n->mv->resolve_at(t);
-    snap.sample_chain_depth(r.depth);
-    if (!r.found) throw SnapshotMiss{};
-    return static_cast<const Node*>(r.ptr);
   }
 
   std::pair<Node*, Node*> locate(Key key) const {

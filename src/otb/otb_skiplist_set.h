@@ -496,16 +496,6 @@ class OtbSkipListSet final : public OtbDs {
     return found_level;
   }
 
-  /// Bottom-level successor of `n` as of stamp `t` (snapshot walk step);
-  /// misses when the node carries no chain or the ring overflowed past `t`.
-  const Node* mv_next_at(SnapshotTx& snap, const Node* n, std::uint64_t t) const {
-    if (n->mv == nullptr) throw SnapshotMiss{};
-    const MvChain::Resolved r = n->mv->resolve_at(t);
-    snap.sample_chain_depth(r.depth);
-    if (!r.found) throw SnapshotMiss{};
-    return static_cast<const Node*>(r.ptr);
-  }
-
   /// Multilevel descent over CURRENT links (levels >= 1) toward `key`,
   /// used purely as an O(log n) accelerator for snapshot walks.  The
   /// landing predecessor is trusted only if it was alive at `t` (born <= t

@@ -246,7 +246,8 @@ metrics::AttemptReport atomically(Fn&& fn) {
 /// as of the drawn stamp — DESIGN.md "Multi-version snapshot reads").
 ///
 /// Returns true on success (counted as kMvSnapshotReads, chain-depth
-/// samples flushed into the sink's mv_chain_len series).  Returns false —
+/// samples flushed into the sink's mv_chain_len series, walk hops and hint
+/// provenance into its traversal series and hint counters).  Returns false —
 /// counted once as kMvVersionMisses — when a needed version has been
 /// evicted from a bounded chain (SnapshotMiss, including the
 /// OTB_MV_VERSIONS=0 case where nodes carry no chains) or when clock draws
@@ -264,6 +265,7 @@ bool snapshot_read(metrics::MetricsSink& sink, Fn&& fn) {
         fn(snap);
         sink.record_mv_chain_slice(snap.chain_depth_total(),
                                    snap.chain_depth_buckets());
+        sink.record_traversal_slice(snap.tally());
         sink.add(metrics::CounterId::kMvSnapshotReads);
         return true;
       } catch (const SnapshotRetry&) {

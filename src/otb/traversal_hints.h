@@ -28,11 +28,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
 
 #include "common/epoch.h"
 #include "common/hash.h"
 #include "metrics/histogram.h"
 #include "metrics/tally.h"
+#include "otb/mv.h"
 
 namespace otb::tx {
 
@@ -278,6 +280,71 @@ inline void sample_traversal(metrics::TxTally& tally, std::uint64_t steps) {
   tally.traversals += 1;
   tally.traversal_steps += steps;
   tally.traversal_log2[metrics::Histogram::bucket_of(steps)] += 1;
+}
+
+// ---- snapshot walks (DESIGN.md "Multi-version snapshot reads") -------------
+//
+// A snapshot walk at stamp t resolves every link through the version chains,
+// so any node that was live at t and lies below the target is a sound entry
+// point: the as-of-t list is sorted and contains it, hence the from-head walk
+// at t passes through it and continues exactly as a walk started there.
+// The level-2 cache supplies the candidate; the checks below prove it live at
+// t.  Snapshot walks have no descriptor, so they never hit a level-1 hint.
+
+/// Entry point for a snapshot walk toward `key` at the already-drawn stamp
+/// `t`: the thread's cached predecessor when all of these hold, else `head`
+/// (a failed check is a fallback, never a SnapshotMiss):
+///   * the cache's epoch age gate passes (under the SnapshotTx guard) and
+///     the cached key is below `key`;
+///   * the node is unmarked, read after t was drawn: t is drawn only at a
+///     quiescent clock instant, so every commit <= t is fully published and
+///     its mark would be visible — no commit <= t erased or replaced it;
+///   * its chain resolves t: a node's first chain push carries its birth
+///     stamp, so an entry <= t means it was born <= t.
+template <typename Node>
+const Node* snapshot_start(std::uint64_t owner, std::int64_t key,
+                           std::uint64_t t, const Node* head, HintSource& src) {
+  src = HintSource::kNone;
+  const PredCache::Entry* e = PredCache::lookup(owner, key);
+  if (e == nullptr) return head;
+  const Node* n = static_cast<const Node*>(e->node);
+  if (n->marked.load(std::memory_order_acquire)) return head;
+  if (n->mv == nullptr || !n->mv->resolve_at(t).found) return head;
+  src = HintSource::kCached;
+  return n;
+}
+
+/// Snapshot walk toward `key` at stamp `t`: the last node below `key` and
+/// its successor, both as of `t`.  With hints on it starts at
+/// `snapshot_start` and caches its landing predecessor — only if that node
+/// is unmarked now, because the age gate's argument ("observed unmarked
+/// under epoch E") fails for an already-retired node, and a walk at t can
+/// land on one that was live at t.  With hints off it walks from `head` and
+/// ticks no hint counter.  Hops and provenance go to the snapshot's tally.
+template <typename Node>
+std::pair<const Node*, const Node*> snapshot_locate(SnapshotTx& snap,
+                                                    std::uint64_t owner,
+                                                    const Node* head,
+                                                    std::int64_t key,
+                                                    std::uint64_t t) {
+  const bool hints_on = traversal_hints_enabled();
+  HintSource src = HintSource::kNone;
+  const Node* pred = hints_on ? snapshot_start(owner, key, t, head, src) : head;
+  const Node* curr = mv_next_at(snap, pred, t);
+  std::uint64_t steps = 0;
+  while (curr->key < key) {
+    pred = curr;
+    curr = mv_next_at(snap, pred, t);
+    ++steps;
+  }
+  if (hints_on) {
+    count(snap.tally(), src);
+    if (pred != head && !pred->marked.load(std::memory_order_acquire)) {
+      PredCache::store(owner, pred->key, const_cast<Node*>(pred));
+    }
+  }
+  sample_traversal(snap.tally(), steps);
+  return {pred, curr};
 }
 
 }  // namespace hint

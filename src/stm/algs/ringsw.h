@@ -6,6 +6,15 @@
 // serialize on a global commit lock (the "SW" flavour), re-validate, then
 // publish both their writes and their ring entry.  A reader that falls so
 // far behind that the ring has wrapped over its start position aborts.
+//
+// Two stamps bound the ring: `ring_index` (newest published entry, advanced
+// before the write-back) and `last_complete` (newest entry whose write-back
+// has finished).  A reader may only treat an entry as behind it once that
+// entry is complete — otherwise it can read a value the entry is still
+// about to overwrite and never validate against it (a lost update).  Each
+// ring slot is a seqlock in the style of otb/mv.h's MvChain: the writer
+// parks the slot's timestamp before rewriting the filter, and a reader
+// re-checks the timestamp after intersecting.
 #pragma once
 
 #include <array>
@@ -22,12 +31,14 @@ struct RingSwGlobal final : AlgoGlobal {
   static constexpr std::size_t kRingSize = 1024;
 
   struct alignas(kCacheLine) RingEntry {
-    std::atomic<std::uint64_t> timestamp{0};  // 0 = never used
-    TxFilter filter;
+    std::atomic<std::uint64_t> timestamp{0};  // 0 = never used, or being rewritten
+    std::array<std::atomic<std::uint64_t>, TxFilter::kWords> filter{};
   };
 
   /// Newest committed timestamp; entry i lives at ring[i % kRingSize].
   std::atomic<std::uint64_t> ring_index{0};
+  /// Newest timestamp whose write-back has finished (<= ring_index).
+  std::atomic<std::uint64_t> last_complete{0};
   /// Serializes writers (single-writer ring).
   SpinLock commit_lock;
   std::array<RingEntry, kRingSize> ring;
@@ -45,7 +56,7 @@ class RingSwTx final : public Tx {
     read_filter_.clear();
     writes_.clear();
     write_filter_.clear();
-    start_ = global_.ring_index.load(std::memory_order_acquire);
+    start_ = global_.last_complete.load(std::memory_order_acquire);
   }
 
   Word read_word(const TWord* addr) override {
@@ -70,21 +81,32 @@ class RingSwTx final : public Tx {
     check_ring_suffix();  // final validation against writers we missed
     const std::uint64_t ts = global_.ring_index.load(std::memory_order_acquire) + 1;
     auto& entry = global_.ring[ts % RingSwGlobal::kRingSize];
-    entry.filter = write_filter_;
+    // Park the slot first: a reader still intersecting the entry this one
+    // laps sees the timestamp move at its re-check (release fence pairs
+    // with the reader's acquire fence in check_ring_suffix).
+    entry.timestamp.store(0, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    for (std::size_t w = 0; w < TxFilter::kWords; ++w) {
+      entry.filter[w].store(write_filter_.word(w), std::memory_order_relaxed);
+    }
     entry.timestamp.store(ts, std::memory_order_release);
     // Publish the ring entry *before* the write-back: a reader that observes
     // any of our new values is then guaranteed to also observe the entry and
     // abort on filter intersection (bloom filters have no false negatives).
     global_.ring_index.store(ts, std::memory_order_release);
     writes_.publish();
+    global_.last_complete.store(ts, std::memory_order_release);
   }
 
   void rollback() override {}
 
  private:
   /// Intersect our read filter with every ring entry committed after we
-  /// started; advance `start_` past validated entries.
+  /// started; advance `start_` past validated entries whose write-back has
+  /// finished.  An entry still being written back stays ahead of `start_`,
+  /// so the next read re-checks it with that read's address in the filter.
   void check_ring_suffix() {
+    const std::uint64_t done = global_.last_complete.load(std::memory_order_acquire);
     const std::uint64_t newest = global_.ring_index.load(std::memory_order_acquire);
     if (newest == start_) return;
     stats_.validations += 1;
@@ -97,11 +119,17 @@ class RingSwTx final : public Tx {
         // The entry was overwritten under us — equivalent to a wrap.
         throw TxAbort{metrics::AbortReason::kRingWrap};
       }
-      if (entry.filter.intersects(read_filter_)) {
-        throw TxAbort{metrics::AbortReason::kValidation};
+      bool hit = false;
+      for (std::size_t w = 0; w < TxFilter::kWords && !hit; ++w) {
+        hit = (entry.filter[w].load(std::memory_order_relaxed) & read_filter_.word(w)) != 0;
       }
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (entry.timestamp.load(std::memory_order_relaxed) != i) {
+        throw TxAbort{metrics::AbortReason::kRingWrap};  // lapped mid-intersect
+      }
+      if (hit) throw TxAbort{metrics::AbortReason::kValidation};
     }
-    start_ = newest;
+    start_ = done;  // done <= newest: loaded first, and never ahead of ring_index
   }
 
   RingSwGlobal& global_;

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "boosted/boosted_pq.h"
 #include "boosted/boosted_runtime.h"
@@ -170,6 +172,60 @@ inline auto make_otb_map_worker(tx::OtbListMap& map, unsigned abort_pct,
       }
     });
     return result;
+  };
+}
+
+// ---- abort-free snapshot reads ----------------------------------------------
+//
+// Read ops run as tx::snapshot_read scripts (the service plane's inline
+// read-only route) and fall back to the validated worker on a version miss;
+// writes always go through the validated worker.  A snapshot read linearizes
+// at its stamp draw, which lies inside the call.  Successful snapshot reads
+// are counted in `snap_sink` so a driver can prove the route was taken.
+
+/// OTB sets: contains via contains_at.
+template <typename SetT>
+auto make_otb_set_snapshot_worker(SetT& set, unsigned abort_pct, std::uint64_t seed,
+                                  metrics::MetricsSink& snap_sink) {
+  return [&set, &snap_sink, validated = make_otb_set_worker(set, abort_pct, seed)](
+             verify::OpKind op, std::int64_t key, std::int64_t& value) mutable {
+    if (op != verify::OpKind::kContains) return validated(op, key, value);
+    bool found = false;
+    if (!tx::snapshot_read(snap_sink, [&](tx::SnapshotTx& snap) {
+          found = set.contains_at(snap, key);
+        })) {
+      return validated(op, key, value);
+    }
+    return found;
+  };
+}
+
+/// OtbListMap: gets alternate between get_at and a one-key range_at.
+inline auto make_otb_map_snapshot_worker(tx::OtbListMap& map, unsigned abort_pct,
+                                         std::uint64_t seed,
+                                         metrics::MetricsSink& snap_sink) {
+  return [&map, &snap_sink, validated = make_otb_map_worker(map, abort_pct, seed),
+          use_range = false](verify::OpKind op, std::int64_t key,
+                             std::int64_t& value) mutable {
+    if (op != verify::OpKind::kGet) return validated(op, key, value);
+    use_range = !use_range;
+    bool found = false;
+    std::int64_t out = 0;
+    std::vector<std::pair<std::int64_t, std::int64_t>> range;
+    if (!tx::snapshot_read(snap_sink, [&](tx::SnapshotTx& snap) {
+          if (use_range) {
+            range.clear();
+            found = map.range_at(snap, key, key, &range) == 1;
+            out = found ? range[0].second : 0;
+          } else {
+            out = 0;
+            found = map.get_at(snap, key, &out);
+          }
+        })) {
+      return validated(op, key, value);
+    }
+    value = out;
+    return found;
   };
 }
 

@@ -1,13 +1,15 @@
 // Tier-2 stress: OTB list map (put/erase/get) under concurrent seeded
 // load.  Histories are checked per-key against the sequential map spec
 // (get must observe the latest committed value) plus the set-style
-// conservation audit over the final snapshot.
+// conservation audit over the final snapshot.  A second history runs the
+// gets as abort-free snapshot reads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "adapters.h"
+#include "metrics/sink.h"
 #include "otb/otb_list_map.h"
 #include "verify/invariants.h"
 #include "verify/lin_check.h"
@@ -73,6 +75,50 @@ TEST(OtbMapStress, HistoriesAreLinearizable) {
     EXPECT_TRUE(audit.ok) << audit.detail;
   }
   }
+  }
+}
+
+TEST(OtbMapStress, SnapshotReadHistoriesAreLinearizable) {
+  // Gets on the abort-free snapshot route (get_at and one-key range_at,
+  // started from the predecessor cache when hints are on) against validated
+  // writers.  Chains are pinned on so the route is taken whatever the
+  // environment says.
+  const std::uint64_t scale = verify::stress_scale();
+  stress::MvVersionsOverride mv(4);
+  for (const bool hints : {true, false}) {
+    stress::TraversalHintsOverride hint_knob(hints);
+    for (const unsigned threads : {2u, 4u, 6u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " hints=" + (hints ? "on" : "off"));
+      tx::OtbListMap map;
+      metrics::MetricsSink snap_sink;
+      StressOptions opt;
+      opt.threads = threads;
+      opt.ops_per_thread = 120 * scale;
+      opt.key_range = 48;
+      opt.seed = verify::stress_seed(0x5a9u + threads * 313 + (hints ? 1 : 0));
+      opt.mix = {{OpKind::kPut, 25}, {OpKind::kErase, 20}, {OpKind::kGet, 55}};
+
+      std::vector<std::int64_t> seeded;
+      for (std::int64_t k = 0; k < opt.key_range; k += 2) {
+        map.put_seq(k, k);
+        seeded.push_back(k);
+      }
+
+      const verify::History h = verify::run_stress(opt, [&](unsigned tid) {
+        return stress::make_otb_map_snapshot_worker(map, /*abort_pct=*/10,
+                                                    opt.seed * 31 + tid, snap_sink);
+      });
+
+      const LinResult lin =
+          verify::check_keyed_history(h, verify::MapKeySpec{}, seeded);
+      EXPECT_NE(lin.status, LinStatus::kNonLinearizable) << lin.detail;
+      if (lin.status == LinStatus::kBudgetExhausted) {
+        GTEST_LOG_(WARNING) << "lin check inconclusive: " << lin.detail;
+      }
+      EXPECT_GT(snap_sink.counter(metrics::CounterId::kMvSnapshotReads), 0u)
+          << "no get took the snapshot route";
+    }
   }
 }
 

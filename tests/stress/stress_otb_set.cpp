@@ -3,7 +3,8 @@
 // injection.  Every run's recorded history must be linearizable against the
 // sequential set spec and pass the structural/conservation audit; a
 // multi-structure transfer workload additionally checks that composed
-// transactions never lose or duplicate keys.
+// transactions never lose or duplicate keys.  A further history runs the
+// membership tests as abort-free snapshot reads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -91,6 +92,53 @@ TYPED_TEST(OtbSetStress, HistoriesAreLinearizable) {
       EXPECT_TRUE(audit.ok) << audit.detail;
     }
     }
+    }
+  }
+}
+
+TYPED_TEST(OtbSetStress, SnapshotReadHistoriesAreLinearizable) {
+  // Membership tests on the abort-free snapshot route (contains_at, started
+  // from the predecessor cache when hints are on for the list set) against
+  // validated writers.  Chains are pinned on so the route is taken whatever
+  // the environment says.
+  const std::uint64_t scale = verify::stress_scale();
+  stress::MvVersionsOverride mv(4);
+  for (const bool hints : {true, false}) {
+    stress::TraversalHintsOverride hint_knob(hints);
+    for (const unsigned threads : {2u, 4u, 7u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " hints=" + (hints ? "on" : "off"));
+      TypeParam set;
+      metrics::MetricsSink snap_sink;
+      StressOptions opt;
+      opt.threads = threads;
+      opt.ops_per_thread = 120 * scale;
+      opt.key_range = 48;
+      opt.seed = verify::stress_seed(0x5e7u + threads * 131 + (hints ? 1 : 0));
+      opt.mix = {{OpKind::kAdd, 25}, {OpKind::kRemove, 25}, {OpKind::kContains, 50}};
+
+      std::vector<std::int64_t> seeded;
+      for (std::int64_t k = 0; k < opt.key_range; k += 2) {
+        set.add_seq(k);
+        seeded.push_back(k);
+      }
+
+      const verify::History h = verify::run_stress(opt, [&](unsigned tid) {
+        return stress::make_otb_set_snapshot_worker(set, /*abort_pct=*/10,
+                                                    opt.seed * 31 + tid, snap_sink);
+      });
+
+      const LinResult lin =
+          verify::check_keyed_history(h, verify::SetKeySpec{}, seeded);
+      EXPECT_NE(lin.status, LinStatus::kNonLinearizable) << lin.detail;
+      if (lin.status == LinStatus::kBudgetExhausted) {
+        GTEST_LOG_(WARNING) << "lin check inconclusive: " << lin.detail;
+      }
+      const verify::AuditResult audit =
+          verify::audit_set(h, set.snapshot_unsafe(), seeded);
+      EXPECT_TRUE(audit.ok) << audit.detail;
+      EXPECT_GT(snap_sink.counter(metrics::CounterId::kMvSnapshotReads), 0u)
+          << "no membership test took the snapshot route";
     }
   }
 }

@@ -2,10 +2,15 @@
 // chains, snapshot-stamp draws, the abort-free snapshot_read entry point
 // with its miss fallback contract, OTB_MV_VERSIONS=0 equivalence, EBR
 // protection of superseded versions, and the service plane's inline
-// read-only routing with its svc_read_only ledger identity.
+// read-only routing with its svc_read_only ledger identity.  Snapshot walks
+// seeded from the predecessor cache must match head walks at the same stamp
+// under concurrent churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "otb/otb_skiplist_pq.h"
 #include "otb/otb_skiplist_set.h"
 #include "otb/runtime.h"
+#include "otb/traversal_hints.h"
 #include "service/service.h"
 
 namespace otb {
@@ -284,6 +290,72 @@ TEST_F(MvccTest, SnapshotReadCountsSuccessAndSamplesChainDepth) {
   std::uint64_t bucket_sum = 0;
   for (const auto b : s.mv_chain_len.log2_buckets) bucket_sum += b;
   EXPECT_EQ(bucket_sum, s.mv_chain_len.count);
+}
+
+// ---- cached entry points for snapshot walks ---------------------------------
+
+TEST_F(MvccTest, HintedRangeScanMatchesHeadWalkUnderConcurrentChurn) {
+  const bool hints_before = tx::traversal_hints_enabled();
+  tx::set_traversal_hints(true);
+  tx::PredCache::clear_this_thread();
+  constexpr std::int64_t kKeys = 256;
+  tx::OtbListMap map;
+  for (std::int64_t k = 0; k < kKeys; k += 2) map.put_seq(k, k);
+
+  // Replaces, erases and inserts retire and relink the very nodes this
+  // thread's cache points at.
+  std::atomic<bool> stop{false};
+  std::atomic<int> commits{0};
+  std::thread writer([&] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    while (!stop.load(std::memory_order_relaxed)) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const std::int64_t key = static_cast<std::int64_t>(x % kKeys);
+      const std::int64_t value = static_cast<std::int64_t>((x >> 16) % 1000);
+      tx::atomically([&](tx::Transaction& t) {
+        if ((x >> 40) % 3 == 0) {
+          map.erase(t, key);
+        } else {
+          map.put(t, key, value);
+        }
+      });
+      commits.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  metrics::MetricsSink snap_sink;
+  std::uint64_t x = 12345;
+  int compared = 0;
+  // Keep scanning until the writer has churned well past the thread start-up
+  // (bounded, so a stalled writer cannot hang the test).
+  for (int i = 0; i < 200000 && (i < 2000 || commits.load() < 20000); ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::int64_t lo = static_cast<std::int64_t>((x >> 33) % kKeys);
+    const std::int64_t hi = lo + static_cast<std::int64_t>((x >> 20) % 24);
+    std::vector<std::pair<std::int64_t, std::int64_t>> hinted, from_head;
+    const bool snapped = tx::snapshot_read(snap_sink, [&](tx::SnapshotTx& snap) {
+      hinted.clear();
+      from_head.clear();
+      map.range_at(snap, lo, hi, &hinted);
+      // No cached key lies below -1, so this walk starts at the head.
+      map.range_at(snap, -1, hi, &from_head);
+    });
+    if (!snapped) continue;  // chains lapped past the stamp: nothing to compare
+    from_head.erase(std::remove_if(from_head.begin(), from_head.end(),
+                                   [&](const auto& kv) { return kv.first < lo; }),
+                    from_head.end());
+    EXPECT_EQ(hinted, from_head) << "range [" << lo << ", " << hi << "]";
+    if (hinted != from_head) break;  // one diff is enough; still join below
+    ++compared;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  tx::set_traversal_hints(hints_before);
+
+  EXPECT_GT(compared, 0);
+  EXPECT_GT(counter(snap_sink, CounterId::kHintHitCached), 0u);
 }
 
 // ---- EBR keeps superseded versions dereferenceable ---------------------------

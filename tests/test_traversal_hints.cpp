@@ -5,11 +5,14 @@
 // entries) must fall back to a full head traversal while still answering
 // correctly, retries must inherit pooled-descriptor hints, and the
 // OTB_TRAVERSAL_HINTS=off path must match the pre-hint behaviour with zero
-// hint counters.
+// hint counters.  Snapshot walks (get_at / contains_at / range_at) seed
+// from the same cache only when the cached node provably was live at the
+// snapshot stamp, and never cache a marked node.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 #include "common/epoch.h"
@@ -266,6 +269,197 @@ TEST_F(TraversalHintsTest, SkipListSuccessfulAddFallsBackToFullFind) {
   EXPECT_EQ(d.local, 0u);
 
   tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(set.contains(t, 1000)); });
+}
+
+// ---- snapshot walks seeded from the predecessor cache -----------------------
+
+/// Fixture for snapshot-walk hints: multi-versioning pinned on, and a map of
+/// even keys 0..62 so every odd key has a distinct, known predecessor.
+class SnapshotHintsTest : public TraversalHintsTest {
+ protected:
+  void SetUp() override {
+    previous_k_ = tx::mv_versions();
+    tx::set_mv_versions(4);
+    TraversalHintsTest::SetUp();
+    map_.emplace();  // after the knob: its sentinels need chains
+    for (std::int64_t k = 0; k < 64; k += 2) map_->put_seq(k, k * 10);
+    delta();
+  }
+  void TearDown() override {
+    TraversalHintsTest::TearDown();
+    tx::set_mv_versions(previous_k_);
+  }
+
+  /// One whole snapshot read of `key` through tx::snapshot_read (which
+  /// flushes the walk's hint and traversal slice into sink_).
+  bool snapshot_get(std::int64_t key, std::int64_t* v) {
+    bool found = false;
+    EXPECT_TRUE(tx::snapshot_read(sink_, [&](tx::SnapshotTx& snap) {
+      found = map_->get_at(snap, key, v);
+    }));
+    return found;
+  }
+
+  /// Key of the cached predecessor a snapshot walk toward `key` would
+  /// consult, or -1 when the cache has no usable entry.
+  std::int64_t cached_pred_key(std::int64_t key) {
+    ebr::Guard guard;
+    const tx::PredCache::Entry* e = tx::PredCache::lookup(map_->hint_owner_id(), key);
+    return e == nullptr ? -1 : e->key;
+  }
+
+  std::optional<tx::OtbListMap> map_;
+  unsigned previous_k_ = 0;
+};
+
+TEST_F(SnapshotHintsTest, SnapshotWalkSeedsFromCachedPredecessor) {
+  std::int64_t v = 0;
+  ASSERT_TRUE(snapshot_get(40, &v));
+  EXPECT_EQ(v, 400);
+  const HintCounts first = delta();
+  EXPECT_EQ(first.miss, 1u);
+  EXPECT_EQ(cached_pred_key(40), 38);  // the landing predecessor was stored
+  const std::uint64_t head_steps = sink_.snapshot().traversals.total_steps;
+  EXPECT_EQ(head_steps, 20u);  // one hop per live key below 40
+
+  ASSERT_TRUE(snapshot_get(40, &v));
+  EXPECT_EQ(v, 400);
+  const HintCounts second = delta();
+  EXPECT_EQ(second.cached, 1u);
+  EXPECT_EQ(second.miss, 0u);
+  EXPECT_EQ(second.local, 0u);  // snapshot walks have no descriptor
+  // Started at 38 itself: zero further hops.
+  EXPECT_EQ(sink_.snapshot().traversals.total_steps, head_steps);
+  EXPECT_EQ(sink_.snapshot().traversals.count, 2u);
+}
+
+TEST_F(SnapshotHintsTest, ErasedCachedPredecessorFallsBackToHead) {
+  std::int64_t v = 0;
+  ASSERT_TRUE(snapshot_get(40, &v));  // caches 38
+  // Another thread (its own traversals refresh only its own thread-local
+  // cache) erases 38 and then its successor 40.  This thread's entry is now
+  // a node dead at any stamp drawn from here on, whose frozen chain still
+  // leads to the dead 40: a walk started there would report 40 present.
+  std::thread eraser([&] {
+    tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map_->erase(t, 38)); });
+    tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map_->erase(t, 40)); });
+  });
+  eraser.join();
+  ASSERT_EQ(cached_pred_key(40), 38);
+  delta();
+
+  EXPECT_FALSE(snapshot_get(40, &v));
+  const HintCounts d = delta();
+  EXPECT_EQ(d.cached, 0u);
+  EXPECT_EQ(d.miss, 1u);
+  EXPECT_EQ(cached_pred_key(40), 36);  // the head walk's landing replaced it
+  EXPECT_FALSE(snapshot_get(38, &v));
+  ASSERT_TRUE(snapshot_get(42, &v));
+  EXPECT_EQ(v, 420);
+}
+
+TEST_F(SnapshotHintsTest, ReplacedCachedPredecessorFallsBackToHead) {
+  std::int64_t v = 0;
+  ASSERT_TRUE(snapshot_get(40, &v));  // caches node 38
+  // A replace retires node 38 and links a fresh node with the same key: the
+  // cached pointer is the dead one, whatever its key says.
+  std::thread replacer([&] {
+    tx::atomically([&](tx::Transaction& t) { EXPECT_FALSE(map_->put(t, 38, -1)); });
+  });
+  replacer.join();
+  delta();
+
+  ASSERT_TRUE(snapshot_get(40, &v));
+  EXPECT_EQ(v, 400);
+  ASSERT_TRUE(snapshot_get(38, &v));
+  EXPECT_EQ(v, -1);  // the head walk reaches the replacement, not the corpse
+  const HintCounts d = delta();
+  EXPECT_EQ(d.cached, 0u);
+  EXPECT_EQ(d.miss, 2u);
+}
+
+TEST_F(SnapshotHintsTest, PredecessorBornAfterStampIsRejected) {
+  tx::SnapshotTx snap;
+  std::int64_t v = 0;
+  ASSERT_TRUE(map_->get_at(snap, 0, &v));  // draws T; lands on head, stores nothing
+  // After T: insert 39, then look 40 up on the validated path, which caches
+  // node 39 — unmarked and young enough, but born after T.
+  tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map_->put(t, 39, 390)); });
+  tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map_->get(t, 40, &v)); });
+  ASSERT_EQ(cached_pred_key(40), 39);
+  const metrics::TxTally& tally = snap.tally();
+  const std::uint64_t cached_before = tally.hint_hit_cached;
+  const std::uint64_t miss_before = tally.hint_miss;
+
+  // 39 is not in the list at T, so the walk must not start there.
+  ASSERT_TRUE(map_->get_at(snap, 40, &v));
+  EXPECT_EQ(v, 400);
+  EXPECT_EQ(tally.hint_hit_cached, cached_before);
+  EXPECT_EQ(tally.hint_miss, miss_before + 1);
+  EXPECT_FALSE(map_->contains_at(snap, 39));
+
+  // A snapshot drawn after the insert may start at 39 (re-cached here).
+  tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map_->get(t, 40, &v)); });
+  ASSERT_EQ(cached_pred_key(40), 39);
+  tx::SnapshotTx fresh;
+  ASSERT_TRUE(map_->get_at(fresh, 40, &v));
+  EXPECT_EQ(v, 400);
+  EXPECT_EQ(fresh.tally().hint_hit_cached, 1u);
+  EXPECT_EQ(fresh.tally().traversal_steps, 0u);  // 39 -> 40 directly
+  ASSERT_TRUE(map_->get_at(fresh, 39, &v));
+  EXPECT_EQ(v, 390);
+}
+
+TEST_F(SnapshotHintsTest, SnapshotWalkNeverStoresAMarkedNode) {
+  tx::SnapshotTx snap;
+  std::int64_t v = 0;
+  ASSERT_TRUE(map_->get_at(snap, 0, &v));  // draws T
+  // After T, erase 38 on this thread: the erase's own traversal caches 36.
+  tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map_->erase(t, 38)); });
+  ASSERT_EQ(cached_pred_key(40), 36);
+
+  // At T the walk toward 40 starts at 36 (live at T) and lands on 38, which
+  // was live at T but is retired now: it must not replace the entry.
+  ASSERT_TRUE(map_->get_at(snap, 40, &v));
+  EXPECT_EQ(v, 400);
+  EXPECT_EQ(snap.tally().hint_hit_cached, 1u);
+  EXPECT_EQ(cached_pred_key(40), 36);
+}
+
+TEST_F(SnapshotHintsTest, KnobOffWalksFromHeadWithZeroHintCounters) {
+  tx::set_traversal_hints(false);
+  std::uint64_t expected_steps = 0;
+  for (std::int64_t k = 0; k < 64; ++k) {
+    std::int64_t v = -1;
+    EXPECT_EQ(snapshot_get(k, &v), k % 2 == 0) << "key " << k;
+    if (k % 2 == 0) EXPECT_EQ(v, k * 10);
+    // From head: one hop per live key below k.
+    expected_steps += static_cast<std::uint64_t>((k + 1) / 2);
+  }
+  const metrics::SinkSnapshot s = sink_.snapshot();
+  EXPECT_EQ(s.counters[static_cast<std::size_t>(CounterId::kHintHitLocal)], 0u);
+  EXPECT_EQ(s.counters[static_cast<std::size_t>(CounterId::kHintHitCached)], 0u);
+  EXPECT_EQ(s.counters[static_cast<std::size_t>(CounterId::kHintMiss)], 0u);
+  EXPECT_EQ(s.traversals.count, 64u);
+  EXPECT_EQ(s.traversals.total_steps, expected_steps);
+  // Nothing was cached either: turning hints back on starts from a miss.
+  EXPECT_EQ(cached_pred_key(40), -1);
+}
+
+TEST_F(SnapshotHintsTest, ListSetContainsAtSeedsFromCache) {
+  tx::OtbListSet set;
+  for (std::int64_t k = 0; k < 64; k += 2) set.add_seq(k);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(tx::snapshot_read(sink_, [&](tx::SnapshotTx& snap) {
+      EXPECT_TRUE(set.contains_at(snap, 40));
+      EXPECT_FALSE(set.contains_at(snap, 39));
+    }));
+  }
+  // Round one: 40 misses and caches 38, then 39 starts at 38 (and caches
+  // it again).  Round two: both start at 38.
+  const HintCounts d = delta();
+  EXPECT_EQ(d.miss, 1u);
+  EXPECT_EQ(d.cached, 3u);
 }
 
 }  // namespace
